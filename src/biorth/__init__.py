@@ -19,13 +19,11 @@ from .construction import (
     MixedBasis,
     ZeroLocationReport,
     biorthogonal_poly,
-    divided_difference_recursive,
     divided_difference_solve,
     expand_in_mixed_basis,
     mixed_basis,
     oracle_nullspace,
     orthogonality_residuals,
-    qtilde_direct,
     qtilde_values,
     zero_location_check,
 )
@@ -62,6 +60,7 @@ from .families import (
     load_family,
     moment,
     moment_rational,
+    moment_row,
     validity_check,
 )
 from .hyper import (

@@ -38,8 +38,7 @@ from .families import (
     family_from_config,
     lambda_node,
     load_family,
-    moment,
-    moment_rational,
+    moment_row,
     validity_check,
 )
 from .hyper import hypergeometric_form
@@ -53,7 +52,6 @@ from .odes import (
     select_theta,
     series_coefficients,
 )
-from .polynomials import rf_eval
 from .quadrature import verify_moment_quotient
 from .scalars import format_scalar, parse_rational, to_float
 
@@ -153,7 +151,7 @@ def cmd_moments(cfg: RunConfig, family: MqfFamily) -> dict:
     n = cfg.n if cfg.n is not None else 6
     rows = []
     for mu in cfg.mu:
-        values = [moment(family, k, mu) for k in range(n + 1)]
+        values = moment_row(family, n, mu) if n >= 0 else []
         rows.append({"mu": _ser(mu, cfg.mode),
                      "values": _ser_list(values, cfg.mode)})
     return {"moments": rows, "warnings": []}
@@ -259,9 +257,9 @@ def _draw_mu(rng: random.Random, n: int, mode: str):
 def _residual_scale(family, f, mu_list):
     scale = 0.0
     for mu in mu_list:
+        row = moment_row(family, len(f) - 1, mu)
         for k in range(len(f)):
-            scale = max(scale, abs(to_float(f[k]) *
-                                   to_float(moment(family, k, mu))))
+            scale = max(scale, abs(to_float(f[k]) * to_float(row[k])))
     return max(scale, 1e-300)
 
 
@@ -307,11 +305,11 @@ def cmd_verify(cfg: RunConfig, family: MqfFamily) -> dict:
 
         report = validity_check(family, n)
         if report.theorem3_applicable:
+            # every m_k(lambda_l) with l < k must vanish
             ok = True
-            for k in range(1, n + 1):
-                mk = moment_rational(family, k)
-                for ell in range(k):
-                    value = rf_eval(mk, lambda_node(family, ell))
+            for ell in range(n):
+                row = moment_row(family, n, lambda_node(family, ell))
+                for value in row[ell + 1:]:
                     if cfg.mode == "exact":
                         ok = ok and value == 0
                     else:

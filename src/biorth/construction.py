@@ -26,7 +26,6 @@ from .errors import (
     NoExistence,
     NullSpaceDimension,
     PoleAt,
-    RemovableSingularity,
     SingularBasis,
     SingularNode,
     SingularPivot,
@@ -36,12 +35,11 @@ from .families import (
     existence_determinant,
     gh_factors,
     lambda_node,
-    moment,
-    moment_rational,
+    moment_row,
     validity_check,
 )
 from .linalg import nullspace, solve_linear
-from .polynomials import Polynomial, rf_eval
+from .polynomials import Polynomial
 from .roots import RootSet, poly_roots
 from .scalars import is_exact
 
@@ -122,17 +120,16 @@ def qtilde_values(family: MqfFamily, mu_list):
     between numerator and denominator, so no sign factor survives.
     """
     n = len(mu_list)
+    quads = list(family.quadruples(n + 1))
     values = []
-    for ell in range(n + 1):
-        alpha_l, beta_l, _, _ = family.quadruple(ell)
+    for ell, (alpha_l, beta_l, _, _) in enumerate(quads):
         if beta_l == 0:
             raise BetaZero(ell)
         num = 1
         for mu in mu_list:
             num = num * (alpha_l + beta_l * mu)
         den = 1
-        for k in range(n):
-            _, _, gamma_k, delta_k = family.quadruple(k)
+        for k, (_, _, gamma_k, delta_k) in enumerate(quads[:n]):
             factor = alpha_l * delta_k - beta_l * gamma_k
             if factor == 0:
                 raise SingularNode(ell, k)
@@ -142,96 +139,36 @@ def qtilde_values(family: MqfFamily, mu_list):
     return values
 
 
-def qtilde_direct(family: MqfFamily, mu_list):
-    """The same node values computed the slow way: evaluate the quotient
-    prod (x - mu_k) / prod h_k(x) at each lambda_l.  Exists to check the
-    closed form against, never called by the solvers."""
-    n = len(mu_list)
-    target = _monic_target(mu_list)
-    values = []
-    for ell in range(n + 1):
-        lam = lambda_node(family, ell)
-        num = target(lam)
-        den = 1
-        for k in range(n):
-            _, h = gh_factors(family, k)
-            factor = h(lam)
-            if factor == 0:
-                raise SingularNode(ell, k)
-            den = den * factor
-        values.append(num / den)
-    return values
-
-
 def divided_difference_solve(family: MqfFamily, qtilde, n: int):
     """Forward substitution on qtilde_l = sum_{k<=l} f_k m_k(lambda_l).
 
     The system is lower triangular because m_k vanishes at the nodes
     lambda_l with l < k, so f_k is the generalized divided difference of
-    the first k+1 node values.  Raises SingularPivot(l) when the
-    diagonal value m_l(lambda_l) is zero or a pole, or when any needed
-    coefficient in row l is a pole.
+    the first k+1 node values.  Row l of the triangle is the moment
+    table row at lambda_l.  Raises SingularPivot(l) when the diagonal
+    value m_l(lambda_l) is zero, or when a denominator factor of row l
+    vanishes at lambda_l.
     """
     if len(qtilde) != n + 1:
         raise ValueError("qtilde must have n+1 entries")
-    moments = [moment_rational(family, k) for k in range(n + 1)]
     nodes = [lambda_node(family, ell) for ell in range(n + 1)]
     f = []
     for ell in range(n + 1):
+        try:
+            row = moment_row(family, ell, nodes[ell])
+        except PoleAt as exc:
+            raise SingularPivot(ell, detail=str(exc)) from exc
         acc = qtilde[ell]
         for k in range(ell):
-            try:
-                coeff = rf_eval(moments[k], nodes[ell])
-            except (PoleAt, RemovableSingularity) as exc:
-                raise SingularPivot(ell, detail=str(exc)) from exc
-            acc = acc - f[k] * coeff
-        try:
-            pivot = rf_eval(moments[ell], nodes[ell])
-        except (PoleAt, RemovableSingularity) as exc:
-            raise SingularPivot(ell, detail=str(exc)) from exc
+            acc = acc - f[k] * row[k]
+        pivot = row[ell]
         if pivot == 0:
             raise SingularPivot(ell, detail="diagonal moment value is zero")
         f.append(acc / pivot)
     return f
 
 
-def divided_difference_recursive(family: MqfFamily, qtilde, n: int):
-    """The stepwise difference table with denominators m_{j-1}(lambda_m):
-
-        G(0, m) = qtilde_m
-        G(j, m) = (G(j-1, m) - G(j-1, j-1)) / m_{j-1}(lambda_m)
-        f_k     = G(k, k).
-
-    This realizes the published recursion literally and therefore solves
-    the product-weighted system qtilde_l = sum_{k<=l} f_k prod_{j<k}
-    m_j(lambda_l), which is NOT the system the other paths solve: the
-    two agree only when the moment products collapse (for example when
-    m_l(lambda_l) = 1 at every pivot).  Kept as a comparison path so the
-    discrepancy stays visible; see the cross-check tests.
-    """
-    if len(qtilde) != n + 1:
-        raise ValueError("qtilde must have n+1 entries")
-    moments = [moment_rational(family, k) for k in range(n)]
-    nodes = [lambda_node(family, ell) for ell in range(n + 1)]
-    table = list(qtilde)
-    f = [table[0]]
-    for j in range(1, n + 1):
-        new = list(table)
-        for m in range(j, n + 1):
-            try:
-                den = rf_eval(moments[j - 1], nodes[m])
-            except (PoleAt, RemovableSingularity) as exc:
-                raise SingularPivot(m, detail=str(exc)) from exc
-            if den == 0:
-                raise SingularPivot(
-                    m, detail=f"difference denominator m_{j-1} vanishes")
-            new[m] = (table[m] - table[j - 1]) / den
-        table = new
-        f.append(table[j])
-    return f
-
-
-def _rescale(f, mode, basis=None):
+def _rescale(f, mode):
     if mode == NORM_EXPANSION:
         return list(f)
     if mode == NORM_LEADING_ONE:
@@ -254,7 +191,7 @@ def oracle_nullspace(family: MqfFamily, mu_list,
     n = len(mu_list)
     if n == 0:
         return BiorthResult((1,), Polynomial((1,)), None, None, PATH_ORACLE)
-    matrix = [[moment(family, k, mu) for k in range(n + 1)] for mu in mu_list]
+    matrix = [moment_row(family, n, mu) for mu in mu_list]
     basis_vectors = nullspace(matrix)
     if len(basis_vectors) != 1:
         raise NullSpaceDimension(len(basis_vectors))
@@ -277,9 +214,10 @@ def orthogonality_residuals(family: MqfFamily, f, mu_list):
     n = len(mu_list)
     out = []
     for mu in mu_list:
+        row = moment_row(family, n, mu)
         acc = 0
         for k in range(n + 1):
-            acc = acc + f[k] * moment(family, k, mu)
+            acc = acc + f[k] * row[k]
         out.append(acc)
     return out
 
@@ -309,12 +247,6 @@ def biorthogonal_poly(family: MqfFamily, mu_list, path: str = "auto",
     if det == 0:
         raise NoExistence(
             f"existence determinant vanishes for mu = {mu_list}")
-    # A dependent mixed basis leaves the expansion normalization with no
-    # solution even though the null-space direction exists, so the
-    # oracle fallback honors the caller's normalization rather than
-    # forcing the expansion scale.
-    oracle_norm = NORM_EXPANSION if normalization == NORM_EXPANSION \
-        else normalization
 
     def run_divided():
         qt = qtilde_values(family, mu_list)
@@ -337,11 +269,15 @@ def biorthogonal_poly(family: MqfFamily, mu_list, path: str = "auto",
             try:
                 result = expand_in_mixed_basis(family, mu_list)
             except SingularBasis:
-                result = oracle_nullspace(family, mu_list, oracle_norm)
+                # A dependent mixed basis leaves the expansion
+                # normalization with no solution even though the
+                # null-space direction exists, so the oracle fallback
+                # honors the caller's normalization.
+                result = oracle_nullspace(family, mu_list, normalization)
     elif path == PATH_MIXED:
         result = expand_in_mixed_basis(family, mu_list)
     elif path == PATH_ORACLE:
-        result = oracle_nullspace(family, mu_list, oracle_norm)
+        result = oracle_nullspace(family, mu_list, normalization)
     else:
         raise ValueError(f"unknown path: {path!r}")
 

@@ -10,17 +10,29 @@ sequences given by polynomials in n (coefficient lists in the falling
 Pochhammer basis (-n)_l, which for degree <= 1 is the plain linear form
 a_0 - n a_1), or an explicit per-n rule.  Everything downstream --
 node lists, factor polynomials, validity predicates, existence
-determinants -- reads the sequences through this one interface.
+determinants -- reads the sequences through this one interface, and a
+family computes each quadruple once.
+
+Every consumer of moment values reads them from one table:
+moment_row(family, n, x) is the row [m_0(x), ..., m_n(x)], built as a
+single running product that checks each denominator factor for a pole.
+The existence determinant, the oracle matrix, the residuals, the
+divided-difference triangle (row l at the node lambda_l) and the CLI
+all take their moments from it.  validity_check needs no moments at
+all: m_j(lambda_l) = prod_{i<j} g_i(lambda_l) / h_i(lambda_l) with
+g_i(lambda_l) = (alpha_i beta_l - beta_i alpha_l) / beta_l and
+h_i(lambda_l) = -(alpha_l delta_i - beta_l gamma_i) / beta_l, so its
+moment_nonzero entries follow from the node and cross-product
+predicates.  moment_rational keeps m_n as a rational function of mu.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import BetaZero, ConfigError, PoleAt, RemovableSingularity
+from .errors import BetaZero, ConfigError, PoleAt
 from .linalg import determinant
-from .polynomials import Polynomial, RationalFunction, rf_eval
+from .polynomials import Polynomial, RationalFunction
 from .scalars import is_exact, parse_rational, pochhammer
 
 KIND_POLYNOMIAL = "polynomial-in-n"
@@ -45,12 +57,14 @@ class MqfFamily:
 
     For the polynomial kind, a/b/c/d are coefficient tuples over the
     basis (-n)_l.  For the explicit kind, rule(n) returns the quadruple
-    (alpha_n, beta_n, gamma_n, delta_n); the rule is memoized so a
-    stochastic or expensive rule still yields a stable family.
+    (alpha_n, beta_n, gamma_n, delta_n).  Each quadruple is computed
+    once and kept, so a stochastic or expensive rule still yields a
+    stable family; the cache holds at most one entry per index asked
+    for.
     """
 
     __slots__ = ("_kind", "_a", "_b", "_c", "_d", "_rule", "_support",
-                 "_weight_form", "_name")
+                 "_weight_form", "_name", "_quads")
 
     def __init__(self, kind, a=(), b=(), c=(), d=(), rule=None,
                  support="(0,1)", weight_form=None, name=""):
@@ -61,7 +75,6 @@ class MqfFamily:
         if kind == KIND_EXPLICIT:
             if rule is None:
                 raise ConfigError("explicit-sequence kind needs a rule")
-            rule = lru_cache(maxsize=None)(rule)
         elif rule is not None:
             raise ConfigError("polynomial-in-n kind takes no rule")
         self._kind = kind
@@ -73,6 +86,7 @@ class MqfFamily:
         self._support = support
         self._weight_form = dict(weight_form) if weight_form else None
         self._name = name
+        self._quads = {}
 
     kind = property(lambda self: self._kind)
     a = property(lambda self: self._a)
@@ -94,20 +108,33 @@ class MqfFamily:
         return max(len(self._a), len(self._b), len(self._c), len(self._d)) - 1
 
     def quadruple(self, n: int):
-        """(alpha_n, beta_n, gamma_n, delta_n)."""
+        """(alpha_n, beta_n, gamma_n, delta_n), computed once per index."""
+        quad = self._quads.get(n)
+        if quad is not None:
+            return quad
         if n < 0:
             raise ValueError("sequence index must be nonnegative")
         if self._kind == KIND_EXPLICIT:
             quad = tuple(self._rule(n))
             if len(quad) != 4:
                 raise ConfigError("rule must return a quadruple")
-            return quad
-        return (
-            _eval_poch_poly(self._a, n),
-            _eval_poch_poly(self._b, n),
-            _eval_poch_poly(self._c, n),
-            _eval_poch_poly(self._d, n),
-        )
+        else:
+            quad = (
+                _eval_poch_poly(self._a, n),
+                _eval_poch_poly(self._b, n),
+                _eval_poch_poly(self._c, n),
+                _eval_poch_poly(self._d, n),
+            )
+        self._quads[n] = quad
+        return quad
+
+    def quadruples(self, n: int):
+        """Yield the quadruples of indices 0..n-1 in order, each computed
+        at most once over the family's lifetime."""
+        quads = self._quads
+        for k in range(n):
+            quad = quads.get(k)
+            yield quad if quad is not None else self.quadruple(k)
 
     def alpha(self, n):
         return self.quadruple(n)[0]
@@ -133,22 +160,35 @@ def gh_factors(family: MqfFamily, k: int):
     return Polynomial((alpha, beta)), Polynomial((gamma, delta))
 
 
-def moment(family: MqfFamily, n: int, mu):
-    """m_n(mu) as a scalar; n = 0 is the empty product 1.
+def moment_row(family: MqfFamily, n: int, x):
+    """The moment table row [m_0(x), ..., m_n(x)] at one scalar x.
 
-    Raises PoleAt when a denominator factor gamma_l + mu delta_l
-    vanishes (and the numerator factor does not).
+    One running product: each entry is the previous one times
+    (alpha_l + x beta_l) / (gamma_l + x delta_l), so float rows match
+    a per-entry evaluation bit for bit.  Raises PoleAt at the first
+    denominator factor gamma_l + x delta_l that vanishes.
     """
     if n < 0:
         raise ValueError("moment index must be nonnegative")
-    result = 1
-    for ell in range(n):
-        alpha, beta, gamma, delta = family.quadruple(ell)
-        den = gamma + mu * delta
+    value = 1
+    row = [value]
+    for ell, (alpha, beta, gamma, delta) in enumerate(family.quadruples(n)):
+        den = gamma + x * delta
         if den == 0:
-            raise PoleAt(mu, detail=f"denominator factor {ell} vanishes")
-        result = result * (alpha + mu * beta) / den
-    return result
+            raise PoleAt(x, detail=f"denominator factor {ell} vanishes")
+        value = value * (alpha + x * beta) / den
+        row.append(value)
+    return row
+
+
+def moment(family: MqfFamily, n: int, mu):
+    """m_n(mu) as a scalar, the last entry of moment_row; n = 0 is the
+    empty product 1.
+
+    Raises PoleAt when a denominator factor gamma_l + mu delta_l
+    vanishes for some l < n.
+    """
+    return moment_row(family, n, mu)[-1]
 
 
 def moment_rational(family: MqfFamily, n: int) -> RationalFunction:
@@ -178,9 +218,11 @@ class ValidityReport:
     """Predicate sheet for the triangular-solve hypotheses at degree n.
 
     cross_condition[l][k] records alpha_l delta_k - beta_l gamma_k != 0
-    for l = 0..n, k = 0..n-1.  moment_nonzero[l][j] records that
-    m_j(lambda_l) is finite and nonzero for l > j (entries with l <= j
-    are None).  theorem3_applicable is the conjunction of everything.
+    for l = 0..n, k = 0..n-1.  moment_nonzero[l][j] records that the
+    product prod_{i<j} g_i(lambda_l) / h_i(lambda_l) -- the value
+    m_j(lambda_l) the divided-difference solve divides by -- is finite
+    and nonzero for l > j (entries with l <= j are None).
+    theorem3_applicable is the conjunction of everything.
     """
 
     __slots__ = ("n", "beta_nonzero", "lambda_distinct", "cross_condition",
@@ -214,51 +256,49 @@ def validity_check(family: MqfFamily, n: int) -> ValidityReport:
     """Evaluate every hypothesis the node-based construction relies on.
 
     Failures are reported, never raised; n = 0 is vacuously applicable.
+    moment_nonzero is derived rather than evaluated: m_j(lambda_l) for
+    l > j is finite and nonzero exactly when beta_l != 0 and, for every
+    i < j, beta_i != 0, lambda_i != lambda_l and cross_condition[l][i].
     """
+    quads = list(family.quadruples(n + 1))
     beta_nonzero = []
     lambdas = []
-    for ell in range(n + 1):
-        alpha, beta, _, _ = family.quadruple(ell)
+    for ell, (alpha, beta, _, _) in enumerate(quads):
         ok = _nonzero(beta, abs(alpha) if not is_exact(beta) else 0)
         beta_nonzero.append(ok)
         lambdas.append(lambda_node(family, ell) if ok else None)
 
     seen = [lam for lam in lambdas if lam is not None]
-    if all(is_exact(v) for v in seen):
-        lambda_distinct = len(set(seen)) == len(seen)
-    else:
-        lambda_distinct = all(
-            abs(x - y) > 1e-12 * max(1.0, abs(x), abs(y))
-            for i, x in enumerate(seen) for y in seen[:i])
+    exact_nodes = all(is_exact(v) for v in seen)
+
+    def apart(x, y):
+        if exact_nodes:
+            return x != y
+        return abs(x - y) > 1e-12 * max(1.0, abs(x), abs(y))
+
+    lambda_distinct = all(apart(x, y)
+                          for i, x in enumerate(seen) for y in seen[:i])
 
     cross = []
-    for ell in range(n + 1):
-        alpha_l, beta_l, _, _ = family.quadruple(ell)
+    for alpha_l, beta_l, _, _ in quads:
         row = []
-        for k in range(n):
-            _, _, gamma_k, delta_k = family.quadruple(k)
+        for _, _, gamma_k, delta_k in quads[:n]:
             value = alpha_l * delta_k - beta_l * gamma_k
             scale = abs(alpha_l * delta_k) + abs(beta_l * gamma_k)
             row.append(_nonzero(value, scale))
         cross.append(row)
 
-    moments = [moment_rational(family, j) for j in range(n)]
     moment_ok = []
-    for ell in range(n + 1):
+    for ell, lam in enumerate(lambdas):
         row = []
+        ok = lam is not None
         for j in range(n):
             if ell <= j:
                 row.append(None)
                 continue
-            if lambdas[ell] is None:
-                row.append(False)
-                continue
-            try:
-                value = rf_eval(moments[j], lambdas[ell])
-            except (PoleAt, RemovableSingularity):
-                row.append(False)
-                continue
-            row.append(_nonzero(value, 1.0))
+            row.append(ok)
+            ok = ok and lambdas[j] is not None \
+                and apart(lambdas[j], lam) and cross[ell][j]
         moment_ok.append(row)
 
     return ValidityReport(n, beta_nonzero, lambda_distinct, cross, moment_ok)
@@ -271,8 +311,7 @@ def existence_determinant(family: MqfFamily, mu_list):
     degree-n biorthogonal polynomial at those parameter values.
     """
     n = len(mu_list)
-    matrix = [[moment(family, j, mu) for j in range(n)] for mu in mu_list]
-    return determinant(matrix)
+    return determinant([moment_row(family, n - 1, mu) for mu in mu_list])
 
 
 def _parse_scalar_list(values, field):

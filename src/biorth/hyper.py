@@ -60,7 +60,8 @@ def _is_nonpositive_int(value) -> bool:
 def hypergeometric_form(ode: FrobeniusOde, theta) -> HypergeometricForm:
     """Classify the Frobenius solution at exponent theta as a pFq.
 
-    Requires P(0) = 0 (theta indicial), else ThetaNotIndicial.  One
+    Requires P(0) = 0 (theta indicial), else ThetaNotIndicial; for an
+    inexact theta, |P(0)| <= 1e-12 max|coeff(P)| counts as zero.  One
     zero root of P is split off as the factorial; the remaining roots
     give lower parameters 1 - eta_j (raising NonpositiveLowerParameter
     when one is a nonpositive integer) and the roots of Q give upper
@@ -70,9 +71,14 @@ def hypergeometric_form(ode: FrobeniusOde, theta) -> HypergeometricForm:
     P, Q = recurrence_polys(ode, theta)
     if P.is_zero:
         raise ThetaNotIndicial("P vanishes identically")
-    if P(0) != 0:
+    residue = P(0)
+    if is_exact(theta):
+        indicial = residue == 0
+    else:
+        indicial = abs(residue) <= 1e-12 * max(abs(c) for c in P.coeffs)
+    if not indicial:
         raise ThetaNotIndicial(
-            f"P(0) = {P(0)} is nonzero, so theta = {theta} is not an "
+            f"P(0) = {residue} is nonzero, so theta = {theta} is not an "
             "indicial root")
     s2 = P.degree
     p_star = P.leading
@@ -83,8 +89,8 @@ def hypergeometric_form(ode: FrobeniusOde, theta) -> HypergeometricForm:
             del eta[i]
             break
     else:
-        # P(0) = 0 exactly but no extracted root is exactly zero: the
-        # float path landed off the origin; drop the smallest instead.
+        # P(0) = 0 within rounding but no extracted root is exactly
+        # zero: the float path landed off the origin; drop the smallest.
         eta.remove(min(eta, key=lambda r: abs(r)))
     lower = []
     for root in eta:

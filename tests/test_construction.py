@@ -11,13 +11,11 @@ from biorth.construction import (
     PATH_MIXED,
     PATH_ORACLE,
     biorthogonal_poly,
-    divided_difference_recursive,
     divided_difference_solve,
     expand_in_mixed_basis,
     mixed_basis,
     oracle_nullspace,
     orthogonality_residuals,
-    qtilde_direct,
     qtilde_values,
     zero_location_check,
 )
@@ -25,11 +23,15 @@ from biorth.errors import (
     BetaZero,
     DegenerateMu,
     NoExistence,
+    PoleAt,
+    RemovableSingularity,
     SingularBasis,
     SingularNode,
+    SingularPivot,
 )
 from biorth.families import (
     family_from_config,
+    gh_factors,
     lambda_node,
     moment,
     moment_rational,
@@ -40,6 +42,60 @@ from conftest import jacobi_family, power_weight_family, skew_family, \
     steps_family
 
 F = Fraction
+
+
+def qtilde_direct(family, mu_list):
+    """The node values computed the slow way: evaluate the quotient
+    prod (x - mu_k) / prod h_k(x) at each lambda_l, to check the closed
+    form of qtilde_values against."""
+    n = len(mu_list)
+    target = Polynomial.from_roots([F(m) for m in mu_list])
+    values = []
+    for ell in range(n + 1):
+        lam = lambda_node(family, ell)
+        den = 1
+        for k in range(n):
+            _, h = gh_factors(family, k)
+            factor = h(lam)
+            if factor == 0:
+                raise SingularNode(ell, k)
+            den = den * factor
+        values.append(target(lam) / den)
+    return values
+
+
+def divided_difference_recursive(family, qtilde, n):
+    """The stepwise difference table with denominators m_{j-1}(lambda_m):
+
+        G(0, m) = qtilde_m
+        G(j, m) = (G(j-1, m) - G(j-1, j-1)) / m_{j-1}(lambda_m)
+        f_k     = G(k, k).
+
+    This realizes the published recursion literally and therefore solves
+    the product-weighted system qtilde_l = sum_{k<=l} f_k prod_{j<k}
+    m_j(lambda_l), which is NOT the system the solvers use: the two
+    agree only when the moment products collapse (for example when
+    m_l(lambda_l) = 1 at every pivot).  Kept here so the discrepancy
+    stays visible.
+    """
+    moments = [moment_rational(family, k) for k in range(n)]
+    nodes = [lambda_node(family, ell) for ell in range(n + 1)]
+    table = list(qtilde)
+    f = [table[0]]
+    for j in range(1, n + 1):
+        new = list(table)
+        for m in range(j, n + 1):
+            try:
+                den = rf_eval(moments[j - 1], nodes[m])
+            except (PoleAt, RemovableSingularity) as exc:
+                raise SingularPivot(m, detail=str(exc)) from exc
+            if den == 0:
+                raise SingularPivot(
+                    m, detail=f"difference denominator m_{j-1} vanishes")
+            new[m] = (table[m] - table[j - 1]) / den
+        table = new
+        f.append(table[j])
+    return f
 
 
 def test_mixed_basis_jacobi():

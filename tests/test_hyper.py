@@ -1,4 +1,5 @@
 """Hypergeometric classification, pFq evaluation, Bessel weights."""
+import json
 import math
 from fractions import Fraction
 
@@ -20,7 +21,14 @@ from biorth.hyper import (
     series_from_form,
     weight_from_config,
 )
-from biorth.odes import frobenius_ode, series_coefficients
+from biorth.cli import main
+from biorth.families import family_from_config
+from biorth.odes import (
+    frobenius_ode,
+    indicial_roots,
+    select_theta,
+    series_coefficients,
+)
 
 from conftest import bessel_case_family, jacobi_family, power_weight_family
 
@@ -57,6 +65,31 @@ def test_theta_not_indicial():
     ode = frobenius_ode(bessel_case_family(), F(1))
     with pytest.raises(ThetaNotIndicial):
         hypergeometric_form(ode, F(1))
+
+
+# a = 0,0,0,1; b = 0,-1; c = 1: at mu = 1/2 the admissible indicial
+# root is irrational, so theta is a float and P(0) vanishes only up to
+# rounding.
+CUBIC = {"name": "cubic", "kind": "polynomial", "basis": "pochhammer-3",
+         "a": ["0", "0", "0", "1"], "b": ["0", "-1"], "c": ["1"],
+         "support": "(0,inf)"}
+
+
+def test_irrational_theta_is_indicial(tmp_path, capsys):
+    ode = frobenius_ode(family_from_config(CUBIC), F(1, 2))
+    theta = select_theta(indicial_roots(ode), ode.s)
+    assert isinstance(theta, float)
+    form = hypergeometric_form(ode, theta)
+    want = series_coefficients(ode, theta, 9)
+    for got, ref in zip(series_from_form(form, 9), want):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+    # a float theta that is not a root is still refused
+    with pytest.raises(ThetaNotIndicial):
+        hypergeometric_form(ode, theta + 1e-3)
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(CUBIC))
+    assert main(["hyper", "--family", str(path), "--mu", "1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["s2"] == 3
 
 
 def test_nonpositive_lower_parameter():
