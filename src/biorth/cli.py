@@ -53,7 +53,7 @@ from .odes import (
     series_coefficients,
 )
 from .quadrature import verify_moment_quotient
-from .scalars import format_scalar, parse_rational, to_float
+from .scalars import all_exact, format_scalar, parse_rational, to_float
 
 SERIES_LENGTH = 10
 QUADRATURE_MU = (Fraction(3, 2), Fraction(2))
@@ -210,6 +210,18 @@ def cmd_hyper(cfg: RunConfig, family: MqfFamily) -> dict:
             f"no indicial root passes the {cfg.theta_gate} gate")
     form = hypergeometric_form(ode, theta)
     series = series_coefficients(ode, theta, SERIES_LENGTH - 1)
+    warnings = []
+    if cfg.mode == "exact":
+        # An irrational indicial root is carried as a float from there on;
+        # say which fields that reached instead of passing them off as exact.
+        inexact = [name for name, values in (
+            ("roots", roots.with_multiplicity()), ("theta", (theta,)),
+            ("upper", form.upper), ("lower", form.lower),
+            ("nu", (form.nu,)), ("series", series))
+            if not all_exact(values)]
+        if inexact:
+            warnings.append(f"{', '.join(inexact)}: float values, "
+                            "not exact rationals")
     return {
         "s": ode.s,
         "roots": _ser_list(roots.with_multiplicity(), cfg.mode),
@@ -220,7 +232,7 @@ def cmd_hyper(cfg: RunConfig, family: MqfFamily) -> dict:
         "lower": _ser_list(form.lower, cfg.mode),
         "nu": _ser(form.nu, cfg.mode),
         "series": _ser_list(series, cfg.mode),
-        "warnings": [],
+        "warnings": warnings,
     }
 
 
@@ -277,7 +289,12 @@ def cmd_verify(cfg: RunConfig, family: MqfFamily) -> dict:
         mu = _draw_mu(rng, n, cfg.mode)
         try:
             auto = biorthogonal_poly(family, mu)
-            oracle = oracle_nullspace(family, mu, NORM_EXPANSION)
+            # The oracle is the reference, so it is solved exactly even in
+            # float mode: Fraction(float) converts exactly, and the float
+            # null space of the raw moment matrix loses digits when two
+            # drawn mu are close.
+            oracle = oracle_nullspace(family, [Fraction(m) for m in mu],
+                                      NORM_EXPANSION)
             mixed = expand_in_mixed_basis(family, mu)
         except BiorthError as exc:
             warnings.append(f"n={n}: skipped ({exc})")

@@ -14,7 +14,7 @@ reporting, and provides the modified-Bessel weight built on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -216,24 +216,38 @@ def bessel_weight(x, mu_tilde) -> float:
 
 @dataclass(frozen=True)
 class PowerWeight:
-    """omega(x) = x^exponent on the family support."""
+    """omega(x) = x^exponent on the family support, as a float for an
+    int, Fraction or float x > 0.
+
+    The exponent is converted to float once, at construction, because
+    quadrature calls the weight thousands of times; equality, hash and
+    repr still use the exponent as given."""
 
     exponent: object
+    _exponent: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_exponent", to_float(self.exponent))
 
     def __call__(self, x):
-        return to_float(x) ** to_float(self.exponent)
+        return x ** self._exponent
 
 
 @dataclass(frozen=True)
 class BesselWeight:
     """omega(x) = bessel_weight(x, mu_tilde); integrable at 0, but its
     e^x growth makes the (0, inf) moments divergent, so quadrature-based
-    checks must refuse it rather than truncate the tail."""
+    checks must refuse it rather than truncate the tail.  mu_tilde is
+    converted to float once, at construction, as in PowerWeight."""
 
     mu_tilde: object
+    _mu_tilde: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_mu_tilde", to_float(self.mu_tilde))
 
     def __call__(self, x):
-        return bessel_weight(x, self.mu_tilde)
+        return bessel_weight(x, self._mu_tilde)
 
 
 def weight_from_config(weight_form: dict, mu):

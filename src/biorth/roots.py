@@ -53,11 +53,37 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
+def _scaled_value(ints, num: int, den: int) -> int:
+    """den**deg * p(num/den) for the integer coefficients ints of p
+    (lowest degree first, deg = len(ints) - 1), by homogeneous Horner.
+
+    Zero exactly when p(num/den) is, for any den > 0, and computed
+    without building a Fraction.
+    """
+    value = ints[-1]
+    power = 1
+    for c in reversed(ints[:-1]):
+        power *= den
+        value = value * num + c * power
+    return value
+
+
+def _horner(coeffs, x):
+    """p(x) from a coefficient list, lowest degree first, in the same
+    order of operations as Polynomial.__call__."""
+    result = 0
+    for c in reversed(coeffs):
+        result = result * x + c
+    return result
+
+
 def _rational_roots(p: Polynomial):
     """Extract rational roots exactly, returning (roots, remaining factor).
 
     The roots list repeats a root once per multiplicity.  Zero roots are
-    peeled off first so the rational-root candidates stay finite.
+    peeled off first so the rational-root candidates stay finite.  Each
+    candidate +-num/den is screened in integers (_scaled_value); a
+    Fraction is built only for a hit.
     """
     found = []
     coeffs = [Fraction(c) for c in p.coeffs]
@@ -72,13 +98,14 @@ def _rational_roots(p: Polynomial):
         if content > 1:
             ints = [c // content for c in ints]
         hit = None
+        dens = _divisors(ints[-1])
         for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
+            for den in dens:
                 if math.gcd(num, den) != 1:
                     continue
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if p(cand) == 0:
-                        hit = cand
+                for signed in (num, -num):
+                    if _scaled_value(ints, signed, den) == 0:
+                        hit = Fraction(signed, den)
                         break
                 if hit is not None:
                     break
@@ -104,18 +131,23 @@ def _exact_sqrt(q: Fraction):
 
 
 def _float_roots(p: Polynomial, tol: float):
-    coeffs = [to_float(c) if not isinstance(c, complex) else c for c in p.coeffs]
+    # Newton evaluates p and p' from coefficients converted once.  Mixed
+    # Fraction/float arithmetic converts each coefficient the same way,
+    # and a coefficient enters Horner only through addition, so every
+    # iterate is bit-identical to evaluating p itself.  The lists are not
+    # trimmed: a coefficient that rounds to 0.0 keeps its place.
+    coeffs = [to_float(c) for c in p.coeffs]
     arr = np.array(coeffs[::-1])
     raw = np.roots(arr)
-    deriv = p.derivative()
+    dcoeffs = [to_float(c) for c in p.derivative().coeffs]
     polished = []
     for r in raw:
         r = complex(r)
         for _ in range(NEWTON_CAP):
-            pv = complex(p(r))
+            pv = _horner(coeffs, r)
             if abs(pv) == 0.0:
                 break
-            dv = complex(deriv(r))
+            dv = _horner(dcoeffs, r)
             if dv == 0:
                 break
             step = pv / dv
@@ -213,13 +245,13 @@ def poly_roots(p: Polynomial, tol: float = 1e-12) -> RootSet:
             roots.append(value)
             mults.append(m)
 
-    coeff_scale = max(abs(to_float(c)) if not isinstance(c, complex) else abs(c)
-                      for c in p.coeffs)
+    coeffs = [to_float(c) for c in p.coeffs]
+    coeff_scale = max(abs(c) for c in coeffs)
     residual = 0.0
     for r in roots:
         if isinstance(r, Fraction) or isinstance(r, int):
             continue
-        residual = max(residual, abs(complex(p(r))))
+        residual = max(residual, abs(complex(_horner(coeffs, r))))
     if residual > tol * coeff_scale:
         raise NonConvergence(
             f"root residual {residual:g} exceeds {tol:g} * {coeff_scale:g}")

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,18 @@ lambda,
 residuals,0;0
 warnings,
 """
+
+
+STEPS_CONFIG = {"name": "steps", "kind": "polynomial",
+                "basis": "pochhammer-3", "a": ["1", "-1"], "b": ["1"],
+                "c": ["1"], "d": ["3", "-1"], "support": "(0,1)"}
+
+# a = 0,0,0,1; b = 0,-1; c = 1; d = 0: a cubic indicial equation whose
+# roots are rational at mu = 5/2 and irrational at mu = 1/2
+CUBIC_CONFIG = {"name": "cubic", "kind": "polynomial",
+                "basis": "pochhammer-3", "a": ["0", "0", "0", "1"],
+                "b": ["0", "-1"], "c": ["1"], "d": ["0"],
+                "support": "(0,1)"}
 
 
 def run(capsys, *argv):
@@ -206,6 +219,21 @@ def test_verify_power_weight_float(capsys):
     assert any(c["name"] == "quadrature" for c in payload["checks"])
 
 
+def test_verify_float_close_mu_uses_exact_oracle(tmp_path, capsys):
+    # seed 2 draws mu 5.044581 and 5.051013 at n = 4 on steps; the float
+    # null space of the moment matrix was 1.2e-8 off and failed the
+    # 1e-8 path-equivalence check although auto was right to 2e-16
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps(STEPS_CONFIG))
+    code, out, _ = run(capsys, "verify", "--family", str(path), "--n", "4",
+                       "--seed", "2", "--mode", "float")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failed"] == 0
+    assert [c["name"] for c in payload["checks"]].count(
+        "path-equivalence") == 4
+
+
 def test_verify_no_weight_form(capsys):
     code, out, _ = run(capsys, "verify", "--family", "bessel-case",
                        "--n", "2")
@@ -225,11 +253,8 @@ def test_determinism(capsys):
 
 
 def test_family_from_path(tmp_path, capsys):
-    config = {"name": "steps", "kind": "polynomial", "basis": "pochhammer-3",
-              "a": ["1", "-1"], "b": ["1"], "c": ["1"], "d": ["3", "-1"],
-              "support": "(0,1)"}
     path = tmp_path / "steps.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(STEPS_CONFIG))
     code, out, _ = run(capsys, "poly", "--family", str(path),
                        "--mu", "1,2,3")
     assert code == 0
@@ -247,3 +272,27 @@ def test_explicit_path_flag(capsys):
     payload = json.loads(out)
     assert payload["path"] == "oracle"
     assert payload["f"] == ["1", "-6", "6"]
+
+
+def test_hyper_exact_irrational_theta_names_float_fields(tmp_path, capsys):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(CUBIC_CONFIG))
+    code, out, _ = run(capsys, "hyper", "--family", str(path),
+                       "--mu", "1/2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["theta"] == "1.7720018726587656"
+    assert payload["warnings"] == [
+        "roots, theta, lower, series: float values, not exact rationals"]
+    # all-rational theta: no warning, output as captured before the
+    # warning existed
+    code, out, _ = run(capsys, "hyper", "--family", str(path),
+                       "--mu", "5/2")
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden"
+    assert out == (golden / "hyper_cubic_exact.json").read_text()
+    # float mode states its mode already and gets no warning
+    code, out, _ = run(capsys, "hyper", "--family", str(path),
+                       "--mu", "1/2", "--mode", "float")
+    assert code == 0
+    assert json.loads(out)["warnings"] == []

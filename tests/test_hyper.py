@@ -182,3 +182,20 @@ def test_weight_from_config_bessel():
     assert weight(1.0) == pytest.approx(bessel_weight(1.0, 2.0), rel=1e-15)
     with pytest.raises(ValueError):
         weight_from_config({"form": "mystery"}, F(1))
+
+
+def test_weight_objects_compare_and_print_by_their_parameter():
+    # the float copy made at construction stays out of ==, hash and repr
+    w = PowerWeight(F(-1, 2))
+    assert repr(w) == "PowerWeight(exponent=Fraction(-1, 2))"
+    assert w == PowerWeight(F(-1, 2)) == PowerWeight(-0.5)
+    assert hash(w) == hash(PowerWeight(F(-1, 2))) == hash(PowerWeight(-0.5))
+    assert w != PowerWeight(F(-1, 3))
+    assert w(0.25) == 0.25 ** -0.5
+    b = BesselWeight(F(2))
+    assert repr(b) == "BesselWeight(mu_tilde=Fraction(2, 1))"
+    assert b == BesselWeight(2) and hash(b) == hash(BesselWeight(2))
+    assert b != BesselWeight(F(5, 2))
+    assert b(1.0) == bessel_weight(1.0, 2.0)
+    with pytest.raises(ValueError):
+        BesselWeight(F(0))(1.0)
