@@ -146,4 +146,6 @@ class Divergence(BiorthError):
 
 
 class QuadratureFailure(BiorthError):
-    """Adaptive quadrature exceeded its refinement or tail budget."""
+    """Quadrature could not certify its tolerance: the integrand
+    overflowed, the evaluation budget or level cap ran out, or the tail
+    beyond the outermost nodes was not negligible."""

@@ -6,12 +6,12 @@ a matrix of Fractions is solved without ever touching a float, which is
 what makes the exact-mode contracts of the construction layer possible.
 Float matrices go through the same routines with partial pivoting, or
 through numpy where an SVD is genuinely needed (nullspace extraction).
+numpy is imported inside those float branches only, so exact work and
+`import biorth` never load it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import SingularBasis
 from .scalars import is_exact
@@ -102,6 +102,7 @@ def determinant(matrix):
                 for c in range(col, n):
                     a[r][c] -= factor * a[col][c]
         return sign * det
+    import numpy as np
     return float(np.linalg.det(np.array(matrix, dtype=float)))
 
 
@@ -144,6 +145,7 @@ def nullspace(matrix, tol: float = 1e-12):
                 vec[pcol] = -a[prow][fc]
             basis.append(vec)
         return basis
+    import numpy as np
     a = np.array(matrix, dtype=complex if any(
         isinstance(x, complex) for row in matrix for x in row) else float)
     _, s, vh = np.linalg.svd(a)

@@ -5,14 +5,13 @@ roots when the discriminant is a rational square) before anything is
 handed to the float path.  The float path is companion-matrix
 eigenvalues followed by Newton polishing, with conjugate pairing for
 real inputs and residual verification against the coefficient scale.
+The float path imports numpy when it first runs, not at package import.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import NonConvergence
 from .polynomials import Polynomial
@@ -136,6 +135,7 @@ def _float_roots(p: Polynomial, tol: float):
     # and a coefficient enters Horner only through addition, so every
     # iterate is bit-identical to evaluating p itself.  The lists are not
     # trimmed: a coefficient that rounds to 0.0 keeps its place.
+    import numpy as np
     coeffs = [to_float(c) for c in p.coeffs]
     arr = np.array(coeffs[::-1])
     raw = np.roots(arr)

@@ -187,6 +187,19 @@ def test_exit_code_bad_command():
     assert info.value.code == 2
 
 
+def test_sweep_last_factor_pole_exits_3(capsys):
+    # h_4(mu) = mu + 5 vanishes at mu = -5: m_5 has a pole there although
+    # the existence determinant (m_0..m_4) does not, so the n = 5 row must
+    # not come out as a degree-4 polynomial with f_5 = 0
+    mu = "19/4,21/2,5/3,17/3,-5"
+    for command in ("sweep", "poly"):
+        code, out, err = run(capsys, command, "--family", "jacobi",
+                             "--mu", mu, "--output", "csv")
+        assert code == 3
+        assert out == ""
+        assert "denominator factor 4 vanishes" in err
+
+
 def test_sweep_needs_enough_mu(capsys):
     code, _, err = run(capsys, "sweep", "--family", "jacobi",
                        "--mu", "1,2", "--n", "5")

@@ -276,6 +276,15 @@ def test_biorthogonal_poly_guards():
         biorthogonal_poly(fam, [F(1)], path="sideways")
 
 
+def test_last_factor_pole_raises_on_every_path():
+    # h_4(-5) = 0 is a pole of m_5 only, which the existence determinant
+    # (m_0..m_4) never reads; every path must still refuse
+    mu = [F(19, 4), F(21, 2), F(5, 3), F(17, 3), F(-5)]
+    for path in ("auto", PATH_MIXED, PATH_DIVIDED, PATH_ORACLE):
+        with pytest.raises(PoleAt, match="denominator factor 4 vanishes"):
+            biorthogonal_poly(jacobi_family(), mu, path=path)
+
+
 def test_jacobi_auto_avoids_divided_differences():
     fam = jacobi_family()
     for mu in ([F(1)], [F(1), F(2)], [F(1), F(2), F(7, 2)]):
