@@ -32,12 +32,13 @@ from .errors import (
 )
 from .families import (
     MqfFamily,
+    existence_determinant,
     gh_factors,
     lambda_node,
     moment_row,
     validity_check,
 )
-from .linalg import determinant, nullspace, solve_linear
+from .linalg import nullspace, solve_linear
 from .polynomials import Polynomial
 from .roots import RootSet, poly_roots
 from .scalars import is_exact
@@ -242,10 +243,8 @@ def biorthogonal_poly(family: MqfFamily, mu_list, path: str = "auto",
     if not _exact_distinct(mu_list):
         raise DegenerateMu(f"repeated mu values in {mu_list}")
     n = len(mu_list)
-    # Rows through m_n: a vanishing denominator factor gamma_j + mu delta_j,
-    # j < n, raises PoleAt here on every path, although the existence
-    # determinant reads only m_0..m_{n-1}.
-    if determinant([moment_row(family, n, mu)[:n] for mu in mu_list]) == 0:
+    det = existence_determinant(family, mu_list)
+    if det == 0:
         raise NoExistence(
             f"existence determinant vanishes for mu = {mu_list}")
 

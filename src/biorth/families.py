@@ -308,10 +308,12 @@ def existence_determinant(family: MqfFamily, mu_list):
     """det[m_j(mu_l)] for l over the given mu values and j = 0..n-1.
 
     Nonvanishing is exactly the existence-and-uniqueness test for the
-    degree-n biorthogonal polynomial at those parameter values.
+    degree-n biorthogonal polynomial at those parameter values.  The rows
+    are built through m_n, so a vanishing gamma_j + mu_l delta_j, j < n,
+    raises PoleAt even for j = n-1, whose factor only m_n contains.
     """
     n = len(mu_list)
-    return determinant([moment_row(family, n - 1, mu) for mu in mu_list])
+    return determinant([moment_row(family, n, mu)[:n] for mu in mu_list])
 
 
 def _parse_scalar_list(values, field):

@@ -189,8 +189,8 @@ def test_exit_code_bad_command():
 
 def test_sweep_last_factor_pole_exits_3(capsys):
     # h_4(mu) = mu + 5 vanishes at mu = -5: m_5 has a pole there although
-    # the existence determinant (m_0..m_4) does not, so the n = 5 row must
-    # not come out as a degree-4 polynomial with f_5 = 0
+    # the determinant's entries m_0..m_4 do not, so the n = 5 row must not
+    # come out as a degree-4 polynomial with f_5 = 0
     mu = "19/4,21/2,5/3,17/3,-5"
     for command in ("sweep", "poly"):
         code, out, err = run(capsys, command, "--family", "jacobi",

@@ -277,8 +277,8 @@ def test_biorthogonal_poly_guards():
 
 
 def test_last_factor_pole_raises_on_every_path():
-    # h_4(-5) = 0 is a pole of m_5 only, which the existence determinant
-    # (m_0..m_4) never reads; every path must still refuse
+    # h_4(-5) = 0 is a pole of m_5 only, outside the determinant's
+    # entries m_0..m_4; every path must still refuse
     mu = [F(19, 4), F(21, 2), F(5, 3), F(17, 3), F(-5)]
     for path in ("auto", PATH_MIXED, PATH_DIVIDED, PATH_ORACLE):
         with pytest.raises(PoleAt, match="denominator factor 4 vanishes"):

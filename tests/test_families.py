@@ -115,6 +115,14 @@ def test_existence_determinant():
     assert existence_determinant(fam, []) == 1
 
 
+def test_existence_determinant_refuses_last_factor_pole():
+    # h_1(mu) = mu + 2 vanishes at mu = -2: the entries m_0, m_1 are finite
+    # there, but m_2 has a pole, so no degree-2 polynomial exists
+    fam = jacobi_family()
+    with pytest.raises(PoleAt, match="denominator factor 1 vanishes"):
+        existence_determinant(fam, [F(1), F(-2)])
+
+
 def test_moment_triangularity_at_nodes():
     # m_k(lambda_l) = 0 for l < k whenever the hypotheses hold
     fam = steps_family()

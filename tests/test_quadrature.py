@@ -28,6 +28,40 @@ def test_smooth_integrals():
         adaptive_integrate(math.exp, 1.0, 0.0)
 
 
+def test_integrands_large_at_the_right_end():
+    # f(b) / I from 1 to 34: the nodes cannot come closer to b than one
+    # ulp, but the mass left beyond them is far below rel_tol * I
+    assert adaptive_integrate(lambda x: x ** 20, 0.0, 1.0) \
+        == pytest.approx(1.0 / 21.0, rel=1e-13)
+    fam = jacobi_family()
+    errors = verify_moment_quotient(fam.weight_form, fam, 4, F(30))
+    assert max(errors) <= 1e-11
+    assert adaptive_integrate(lambda x: 1.0, 0.0, 1.0, 1e-13) \
+        == pytest.approx(1.0, rel=1e-15)
+    assert adaptive_integrate(lambda x: x ** 20, 2.0, 3.0) \
+        == pytest.approx((3.0 ** 21 - 2.0 ** 21) / 21.0, rel=1e-13)
+
+
+def test_which_endpoint_singularities_are_supported():
+    # At a = 0 nodes reach the smallest normal float, so x^e works down to
+    # e of about -0.96.  At b, or at a != 0, they stop one ulp short of the
+    # end, which leaves about ulp^(e+1) / (e+1) of (b-x)^e out: below
+    # rel_tol = 1e-11 only for e above about -0.3.
+    for e in (-0.5, -0.9, -0.95):
+        assert adaptive_integrate(lambda x: x ** e, 0.0, 1.0) \
+            == pytest.approx(1.0 / (1.0 + e), rel=1e-13)
+    for e in (-0.1, -0.2):
+        assert adaptive_integrate(lambda x: (1.0 - x) ** e, 0.0, 1.0) \
+            == pytest.approx(1.0 / (1.0 + e), rel=1e-12)
+        assert adaptive_integrate(lambda x: (x - 2.0) ** e, 2.0, 3.0) \
+            == pytest.approx(1.0 / (1.0 + e), rel=1e-12)
+    for f, a, b in ((lambda x: x ** -0.99, 0.0, 1.0),
+                    (lambda x: (1.0 - x) ** -0.5, 0.0, 1.0),
+                    (lambda x: (x - 2.0) ** -0.5, 2.0, 3.0)):
+        with pytest.raises(QuadratureFailure, match="tail truncated"):
+            adaptive_integrate(f, a, b)
+
+
 def test_endpoint_singular_integrals():
     # int_0^1 x^{-1/2} = 2, x^{-2/3} = 3: the double-exponential map
     # absorbs the endpoint singularity without refinement
