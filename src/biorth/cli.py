@@ -289,12 +289,7 @@ def cmd_verify(cfg: RunConfig, family: MqfFamily) -> dict:
         mu = _draw_mu(rng, n, cfg.mode)
         try:
             auto = biorthogonal_poly(family, mu)
-            # The oracle is the reference, so it is solved exactly even in
-            # float mode: Fraction(float) converts exactly, and the float
-            # null space of the raw moment matrix loses digits when two
-            # drawn mu are close.
-            oracle = oracle_nullspace(family, [Fraction(m) for m in mu],
-                                      NORM_EXPANSION)
+            oracle = oracle_nullspace(family, mu, NORM_EXPANSION)
             mixed = expand_in_mixed_basis(family, mu)
         except BiorthError as exc:
             warnings.append(f"n={n}: skipped ({exc})")

@@ -36,12 +36,11 @@ from .families import (
     gh_factors,
     lambda_node,
     moment_row,
-    validity_check,
 )
 from .linalg import nullspace, solve_linear
 from .polynomials import Polynomial
 from .roots import RootSet, poly_roots
-from .scalars import is_exact
+from .scalars import all_exact, is_exact
 
 PATH_MIXED = "mixed-basis"
 PATH_DIVIDED = "divided-difference"
@@ -186,12 +185,15 @@ def oracle_nullspace(family: MqfFamily, mu_list,
     Raises NullSpaceDimension when the null space is not a line.  The
     "expansion" normalization rescales the null vector so the mixed
     basis combination sum f_k B_k is monic, matching the other paths
-    without running them.
+    without running them.  The null space is solved exactly even for
+    float mu: Fraction(mu) converts exactly, and f is rounded to float
+    on the way out, so close mu cost no digits.
     """
     n = len(mu_list)
     if n == 0:
         return BiorthResult((1,), Polynomial((1,)), None, None, PATH_ORACLE)
-    matrix = [moment_row(family, n, mu) for mu in mu_list]
+    matrix = [moment_row(family, n, Fraction(mu)) for mu in mu_list]
+    exact = all_exact(mu_list) and all(map(all_exact, matrix))
     basis_vectors = nullspace(matrix)
     if len(basis_vectors) != 1:
         raise NullSpaceDimension(len(basis_vectors))
@@ -205,6 +207,8 @@ def oracle_nullspace(family: MqfFamily, mu_list,
         f = [vk / scale for vk in v]
     else:
         f = _rescale(v, normalization)
+    if not exact:
+        f = [float(v) for v in f]
     return BiorthResult(tuple(f), Polynomial(f), None, None, PATH_ORACLE)
 
 
@@ -231,13 +235,14 @@ def biorthogonal_poly(family: MqfFamily, mu_list, path: str = "auto",
     """Construct the degree-n biorthogonal polynomial for the given mu.
 
     path is one of "auto", "mixed-basis", "divided-difference", or
-    "oracle".  The auto path prefers divided differences for exact
-    inputs when the validity predicates hold, falls back to the mixed
-    basis on any singular node or pivot, and to the oracle if the basis
-    itself is singular; the returned result records which path produced
-    it.  Inexact inputs go straight to the expansion paths: the node
-    system's diagonal decays geometrically, so its float solutions lose
-    digits the other routes keep.
+    "oracle".  The auto path tries divided differences for exact inputs,
+    falls back to the mixed basis on any zero beta, singular node or
+    pivot, or pole (the route fails exactly when validity_check finds a
+    hypothesis broken), and to the oracle if the basis itself is
+    singular; the returned result records which path produced it.
+    Inexact inputs go straight to the expansion paths: the node system's
+    diagonal decays geometrically, so its float solutions lose digits
+    the other routes keep.
     """
     mu_list = list(mu_list)
     if not _exact_distinct(mu_list):
@@ -257,10 +262,7 @@ def biorthogonal_poly(family: MqfFamily, mu_list, path: str = "auto",
 
     result = None
     if path == PATH_DIVIDED or path == "auto":
-        exact_mu = all(is_exact(v) for v in mu_list)
-        applicable = exact_mu \
-            and validity_check(family, n).theorem3_applicable
-        if applicable or path == PATH_DIVIDED:
+        if path == PATH_DIVIDED or all_exact(mu_list):
             try:
                 result = run_divided()
             except (BetaZero, SingularNode, SingularPivot, PoleAt):

@@ -176,15 +176,6 @@ class Polynomial:
             return self
         return Polynomial(tuple(c / lead for c in self._c))
 
-    def scale_argument(self, factor) -> "Polynomial":
-        """p(factor * x) as a polynomial in x."""
-        power = 1
-        out = []
-        for c in self._c:
-            out.append(c * power)
-            power = power * factor
-        return Polynomial(out)
-
     def map_coeffs(self, fn) -> "Polynomial":
         return Polynomial(tuple(fn(c) for c in self._c))
 

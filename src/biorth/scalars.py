@@ -23,13 +23,6 @@ def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def to_fraction(x) -> Fraction:
-    """Explicit conversion into exact mode; floats convert exactly."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def to_float(x):
     """Explicit conversion into float mode, leaving complex values alone."""
     if isinstance(x, complex):
@@ -83,11 +76,3 @@ def format_scalar(x) -> str:
         return f"{x.real!r}{x.imag:+}j" if x.imag else repr(x.real)
     return repr(float(x))
 
-
-def real_if_close(z, tol: float = 1e-10):
-    """Drop an imaginary part that is negligible relative to the value."""
-    if isinstance(z, complex):
-        scale = max(1.0, abs(z.real))
-        if abs(z.imag) <= tol * scale:
-            return z.real
-    return z

@@ -7,9 +7,22 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def run_without_numpy(code):
+    subprocess.run([sys.executable, "-c",
+                    code + "; import sys; assert 'numpy' not in sys.modules"],
+                   check=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                   stdout=subprocess.DEVNULL)
+
+
 def test_import_does_not_load_numpy():
-    # numpy is imported inside the float branches that use it, so
-    # exact-mode poly, sweep and moments never pay for it
-    code = "import biorth, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env=dict(os.environ, PYTHONPATH=str(SRC)))
+    # numpy is imported only where np.roots runs, so exact-mode poly,
+    # sweep and moments never pay for it
+    run_without_numpy("import biorth")
+
+
+def test_float_poly_does_not_load_numpy():
+    # the float existence determinant and mixed-basis solve run in the
+    # package's own elimination
+    run_without_numpy(
+        "from biorth import cli; assert cli.main(['poly', '--family', "
+        "'jacobi', '--mu', '1/3,2/3,5/2', '--mode', 'float']) == 0")

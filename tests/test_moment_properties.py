@@ -5,13 +5,28 @@ sequence, degree n <= 6) at random exact and float points: every
 moment_row entry equals a per-entry product written here, bit for bit
 in float mode, and poles are reported at the same factor index;
 validity_check's applicability verdict equals the one built from the
-cancelled rational moments moment_rational + rf_eval.
+cancelled rational moments moment_rational + rf_eval, and at exact mu
+the divided-difference route succeeds, and the auto path takes it,
+exactly when that verdict is true.
 """
 from fractions import Fraction
 
 import pytest
 
-from biorth.errors import PoleAt, RemovableSingularity
+from biorth.construction import (
+    PATH_DIVIDED,
+    biorthogonal_poly,
+    divided_difference_solve,
+    qtilde_values,
+)
+from biorth.errors import (
+    BetaZero,
+    BiorthError,
+    PoleAt,
+    RemovableSingularity,
+    SingularNode,
+    SingularPivot,
+)
 from biorth.families import (
     family_from_config,
     moment,
@@ -110,3 +125,23 @@ def test_applicability_matches_cancelled_definition(config, n):
     fam = family_from_config(config)
     assert validity_check(fam, n).theorem3_applicable \
         == old_applicable(fam, n)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(config=configs, mu=st.integers(0, 5).flatmap(
+    lambda n: st.lists(exact_points, min_size=n, max_size=n, unique=True)))
+def test_auto_takes_divided_differences_exactly_when_applicable(config, mu):
+    fam = family_from_config(config)
+    n = len(mu)
+    applicable = validity_check(fam, n).theorem3_applicable
+    try:
+        divided_difference_solve(fam, qtilde_values(fam, mu), n)
+        succeeded = True
+    except (BetaZero, SingularNode, SingularPivot, PoleAt):
+        succeeded = False
+    assert succeeded == applicable
+    try:
+        result = biorthogonal_poly(fam, mu)
+    except BiorthError:
+        return  # no polynomial exists here, so no route is taken
+    assert (result.path == PATH_DIVIDED) == applicable

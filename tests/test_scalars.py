@@ -11,9 +11,7 @@ from biorth.scalars import (
     is_exact,
     parse_rational,
     pochhammer,
-    real_if_close,
     to_float,
-    to_fraction,
 )
 
 
@@ -28,7 +26,6 @@ def test_is_exact_classification():
 
 
 def test_conversions():
-    assert to_fraction(0.25) == Fraction(1, 4)
     assert to_float(Fraction(1, 2)) == 0.5
     z = 1.0 + 2.0j
     assert to_float(z) is z
@@ -90,10 +87,3 @@ def test_format_parse_round_trip():
         x = Fraction(rng.randint(-99, 99), rng.randint(1, 40))
         assert parse_rational(format_scalar(x)) == x
 
-
-def test_real_if_close():
-    assert real_if_close(2.0 + 1e-13j) == 2.0
-    assert isinstance(real_if_close(2.0 + 1e-13j), float)
-    z = 2.0 + 0.1j
-    assert real_if_close(z) == z
-    assert real_if_close(Fraction(1, 3)) == Fraction(1, 3)
