@@ -22,6 +22,8 @@ from typing import Optional
 
 from .errors import (
     BetaZero,
+    BiorthError,
+    ConfigError,
     DegenerateMu,
     NoExistence,
     NullSpaceDimension,
@@ -36,6 +38,7 @@ from .families import (
     gh_factors,
     lambda_node,
     moment_row,
+    pole_screen,
 )
 from .linalg import nullspace, solve_linear
 from .polynomials import Polynomial
@@ -230,6 +233,40 @@ def _exact_distinct(mu_list) -> bool:
     return len(set(mu_list)) == len(mu_list)
 
 
+def _route(family: MqfFamily, mu_list, path: str,
+           normalization: str) -> BiorthResult:
+    """Run the requested route, with the auto path's fallbacks."""
+    if path == PATH_MIXED:
+        return expand_in_mixed_basis(family, mu_list)
+    if path == PATH_ORACLE:
+        return oracle_nullspace(family, mu_list, normalization)
+    if path not in ("auto", PATH_DIVIDED):
+        raise ValueError(f"unknown path: {path!r}")
+    if path == PATH_DIVIDED or all_exact(mu_list):
+        node_failures = (BetaZero, SingularNode, SingularPivot, PoleAt)
+        if path == "auto":
+            # A family with no quadruple n has no node lambda_n: one more
+            # broken node hypothesis, while the mixed basis needs only
+            # the quadruples below n.
+            node_failures += (ConfigError,)
+        n = len(mu_list)
+        try:
+            qt = qtilde_values(family, mu_list)
+            nodes = [lambda_node(family, ell) for ell in range(n + 1)]
+            f = divided_difference_solve(family, qt, n)
+            return BiorthResult(tuple(f), Polynomial(f), tuple(qt),
+                                tuple(nodes), PATH_DIVIDED)
+        except node_failures:
+            pass
+    try:
+        return expand_in_mixed_basis(family, mu_list)
+    except SingularBasis:
+        # A dependent mixed basis leaves the expansion normalization with
+        # no solution even though the null-space direction exists, so the
+        # oracle fallback honors the caller's normalization.
+        return oracle_nullspace(family, mu_list, normalization)
+
+
 def biorthogonal_poly(family: MqfFamily, mu_list, path: str = "auto",
                       normalization: str = NORM_EXPANSION) -> BiorthResult:
     """Construct the degree-n biorthogonal polynomial for the given mu.
@@ -237,54 +274,37 @@ def biorthogonal_poly(family: MqfFamily, mu_list, path: str = "auto",
     path is one of "auto", "mixed-basis", "divided-difference", or
     "oracle".  The auto path tries divided differences for exact inputs,
     falls back to the mixed basis on any zero beta, singular node or
-    pivot, or pole (the route fails exactly when validity_check finds a
-    hypothesis broken), and to the oracle if the basis itself is
-    singular; the returned result records which path produced it.
-    Inexact inputs go straight to the expansion paths: the node system's
-    diagonal decays geometrically, so its float solutions lose digits
-    the other routes keep.
+    pivot, pole, or missing quadruple n (the route fails exactly when
+    validity_check finds a hypothesis broken), and to the oracle if the
+    basis itself is singular; the returned result records which path
+    produced it.  Inexact inputs go straight to the expansion paths: the
+    node system's diagonal decays geometrically, so its float solutions
+    lose digits the other routes keep.
+
+    Existence is certified from the route's own answer, with no O(n^3)
+    determinant on the way.  pole_screen first raises the PoleAt that
+    existence_determinant would.  Past it, each moment row is
+    m_k(mu_l) = B_k(mu_l) / prod_{j<n} h_j(mu_l) with the mixed basis
+    B_k, so a route that succeeds (independent B_k, a nonsingular node
+    triangle, or a one-line null space) leaves the null space a line,
+    and by Cramer's rule its last entry f_n vanishes exactly when the
+    existence determinant does: f_n = 0 raises NoExistence.  When the
+    route raises, the determinant decides: NoExistence if it vanishes,
+    the route's own error otherwise.
     """
     mu_list = list(mu_list)
     if not _exact_distinct(mu_list):
         raise DegenerateMu(f"repeated mu values in {mu_list}")
-    n = len(mu_list)
-    det = existence_determinant(family, mu_list)
-    if det == 0:
+    pole_screen(family, mu_list)
+    try:
+        result = _route(family, mu_list, path, normalization)
+    except BiorthError:
+        if existence_determinant(family, mu_list) != 0:
+            raise
+        result = None
+    if result is None or result.f[-1] == 0:
         raise NoExistence(
             f"existence determinant vanishes for mu = {mu_list}")
-
-    def run_divided():
-        qt = qtilde_values(family, mu_list)
-        nodes = [lambda_node(family, ell) for ell in range(n + 1)]
-        f = divided_difference_solve(family, qt, n)
-        return BiorthResult(tuple(f), Polynomial(f), tuple(qt),
-                            tuple(nodes), PATH_DIVIDED)
-
-    result = None
-    if path == PATH_DIVIDED or path == "auto":
-        if path == PATH_DIVIDED or all_exact(mu_list):
-            try:
-                result = run_divided()
-            except (BetaZero, SingularNode, SingularPivot, PoleAt):
-                result = None
-        if result is None:
-            try:
-                result = expand_in_mixed_basis(family, mu_list)
-            except SingularBasis:
-                # A dependent mixed basis leaves the expansion
-                # normalization with no solution even though the
-                # null-space direction exists, so the oracle fallback
-                # honors the caller's normalization.
-                result = oracle_nullspace(family, mu_list, normalization)
-    elif path == PATH_MIXED:
-        result = expand_in_mixed_basis(family, mu_list)
-    elif path == PATH_ORACLE:
-        result = oracle_nullspace(family, mu_list, normalization)
-    else:
-        raise ValueError(f"unknown path: {path!r}")
-
-    if result.p.is_zero:
-        raise NoExistence("construction produced the zero polynomial")
     if normalization != NORM_EXPANSION:
         f = _rescale(result.f, normalization)
         result = BiorthResult(tuple(f), Polynomial(f), result.qtilde,

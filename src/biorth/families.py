@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import BetaZero, ConfigError, PoleAt
 from .linalg import determinant
 from .polynomials import Polynomial, RationalFunction
-from .scalars import is_exact, parse_rational, pochhammer
+from .scalars import all_exact, is_exact, parse_rational, pochhammer
 
 KIND_POLYNOMIAL = "polynomial-in-n"
 KIND_EXPLICIT = "explicit-sequence"
@@ -304,6 +304,50 @@ def validity_check(family: MqfFamily, n: int) -> ValidityReport:
     return ValidityReport(n, beta_nonzero, lambda_distinct, cross, moment_ok)
 
 
+def pole_screen(family: MqfFamily, mu_list) -> None:
+    """Raise what existence_determinant raises before its elimination.
+
+    That is PoleAt for the first (l, j), l-major, with
+    h_j(mu_l) = gamma_j + mu_l delta_j = 0 and j < n = len(mu_list), or
+    the error of a quadruple the family cannot supply, which the
+    determinant meets inside mu_0's row, after any pole of that row at a
+    lower index.  Exact data take O(n) work: each factor's root
+    -gamma_j/delta_j is computed once and each mu looked up (an
+    identically zero h_j is a pole at every mu).  Inexact data are
+    evaluated as moment_row evaluates them, so a float h_j(mu_l) that
+    rounds to zero is a pole here too.
+    """
+    n = len(mu_list)
+    try:
+        factors = [quad[2:] for quad in family.quadruples(n)]
+    except Exception:
+        # mu_0's row meets its poles below the bad index first
+        moment_row(family, n, mu_list[0])
+        raise
+    if all_exact(mu_list) and all(map(all_exact, factors)):
+        always = next((j for j, (gamma, delta) in enumerate(factors)
+                       if gamma == 0 and delta == 0), n)
+        first_root = {}
+        for j, (gamma, delta) in enumerate(factors[:always]):
+            if delta != 0:
+                first_root.setdefault(Fraction(-gamma, delta), j)
+        hits = ((mu, min(first_root.get(mu, n), always)) for mu in mu_list)
+    else:
+        # At a float mu Python evaluates gamma + mu * delta as
+        # float(gamma) + mu * float(delta), so convert each factor once.
+        as_float = ([(float(gamma), float(delta)) for gamma, delta in factors]
+                    if any(isinstance(mu, float) for mu in mu_list) else None)
+
+        def first_pole(mu):
+            pairs = as_float if isinstance(mu, float) else factors
+            return next((j for j, (gamma, delta) in enumerate(pairs)
+                         if gamma + mu * delta == 0), n)
+        hits = ((mu, first_pole(mu)) for mu in mu_list)
+    for mu, j in hits:
+        if j < n:
+            raise PoleAt(mu, detail=f"denominator factor {j} vanishes")
+
+
 def existence_determinant(family: MqfFamily, mu_list):
     """det[m_j(mu_l)] for l over the given mu values and j = 0..n-1.
 
@@ -311,6 +355,9 @@ def existence_determinant(family: MqfFamily, mu_list):
     degree-n biorthogonal polynomial at those parameter values.  The rows
     are built through m_n, so a vanishing gamma_j + mu_l delta_j, j < n,
     raises PoleAt even for j = n-1, whose factor only m_n contains.
+    biorthogonal_poly certifies existence from its route's answer
+    instead and computes this O(n^3) determinant only when a route
+    fails; it stays as that cold path and as the tests' oracle.
     """
     n = len(mu_list)
     return determinant([moment_row(family, n, mu)[:n] for mu in mu_list])

@@ -278,6 +278,27 @@ def test_family_from_path(tmp_path, capsys):
     assert payload["lambda"] == ["-1", "-2", "-3", "-4"]
 
 
+def test_auto_path_covers_table_with_exactly_n_rows(tmp_path, capsys):
+    # two rows are all that degree 2 needs; only the divided-difference
+    # route asks for row 2 (the node lambda_2), so auto falls back
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"kind": "explicit-table", "table": [
+        ["1", "1", "2", "3"], ["2", "1", "3", "5"]]}))
+    code, out, _ = run(capsys, "poly", "--family", str(path), "--mu", "1,2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["path"] == "mixed-basis"
+    assert payload["f"] == ["3", "-72/7", "52/7"]
+    code, out, _ = run(capsys, "sweep", "--family", str(path), "--mu", "1,2",
+                       "--output", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == "2,1,2,3,-72/7,52/7"
+    code, _, err = run(capsys, "poly", "--family", str(path), "--mu", "1,2",
+                       "--path", "divided-difference")
+    assert code == 2
+    assert "explicit table covers n < 2, got n = 2" in err
+
+
 def test_explicit_path_flag(capsys):
     code, out, _ = run(capsys, "poly", "--family", "jacobi", "--mu", "1,2",
                        "--path", "oracle")

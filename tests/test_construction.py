@@ -30,6 +30,7 @@ from biorth.errors import (
     SingularPivot,
 )
 from biorth.families import (
+    existence_determinant,
     family_from_config,
     gh_factors,
     lambda_node,
@@ -340,6 +341,19 @@ def test_float_mode_close_to_exact():
     res = biorthogonal_poly(fam, [1.0, 2.0])
     for got, want in zip(res.f, (1, -6, 6)):
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_float_jacobi_n32_is_not_refused_by_an_underflowed_determinant():
+    # the float pivot product of the n = 32 moment matrix underflows to
+    # 0.0, which once raised a false NoExistence before any route ran;
+    # existence is now read from f_n.  f itself is still far from the
+    # exact answer here, float mode's open accuracy defect.
+    fam = jacobi_family()
+    mu = [k / 3 for k in range(1, 33)]
+    assert existence_determinant(fam, mu) == 0.0
+    res = biorthogonal_poly(fam, mu)
+    assert res.path == PATH_MIXED
+    assert len(res.f) == 33 and res.f[-1] != 0
 
 
 def test_float_mu_auto_skips_node_system():

@@ -21,8 +21,8 @@ def test_import_does_not_load_numpy():
 
 
 def test_float_poly_does_not_load_numpy():
-    # the float existence determinant and mixed-basis solve run in the
-    # package's own elimination
+    # the float mixed-basis solve, and the existence determinant when a
+    # route fails, run in the package's own elimination
     run_without_numpy(
         "from biorth import cli; assert cli.main(['poly', '--family', "
         "'jacobi', '--mu', '1/3,2/3,5/2', '--mode', 'float']) == 0")
