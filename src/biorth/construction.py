@@ -99,7 +99,12 @@ def _monic_target(mu_list) -> Polynomial:
 def expand_in_mixed_basis(family: MqfFamily, mu_list) -> BiorthResult:
     """Solve prod_k (x - mu_k) = sum_k f_k B_k(x) for f by coefficient match.
 
-    Raises SingularBasis when the B_k are linearly dependent.
+    Raises SingularBasis when the B_k are linearly dependent.  Their
+    coefficient matrix has determinant +-prod_{i<=j<n} (alpha_i delta_j -
+    beta_i gamma_j).  A float elimination of a singular matrix can leave
+    rounding-sized pivots where an exact one finds none, so for inexact
+    input dependence is read exactly off those factors, and the exact
+    elimination then names the column exact mode names.
     """
     n = len(mu_list)
     basis = mixed_basis(family, n)
@@ -107,6 +112,15 @@ def expand_in_mixed_basis(family: MqfFamily, mu_list) -> BiorthResult:
     matrix = [[basis.basis_polys[k].coeff(i) for k in range(n + 1)]
               for i in range(n + 1)]
     rhs = [target.coeff(i) for i in range(n + 1)]
+    quads = list(family.quadruples(n))
+    if not (all_exact(mu_list) and all(map(all_exact, quads))):
+        quads = [tuple(map(Fraction, quad)) for quad in quads]
+        if any(alpha * delta == beta * gamma
+               for j, (_, _, gamma, delta) in enumerate(quads)
+               for alpha, beta, _, _ in quads[:j + 1]):
+            solve_linear([list(map(Fraction, row)) for row in matrix],
+                         [0] * (n + 1))
+            raise SingularBasis("mixed basis is dependent")
     f = solve_linear(matrix, rhs)
     return BiorthResult(tuple(f), Polynomial(f), None, None, PATH_MIXED)
 

@@ -313,9 +313,9 @@ def pole_screen(family: MqfFamily, mu_list) -> None:
     determinant meets inside mu_0's row, after any pole of that row at a
     lower index.  Exact data take O(n) work: each factor's root
     -gamma_j/delta_j is computed once and each mu looked up (an
-    identically zero h_j is a pole at every mu).  Inexact data are
-    evaluated as moment_row evaluates them, so a float h_j(mu_l) that
-    rounds to zero is a pole here too.
+    identically zero h_j is a pole at every mu).  Inexact data take the
+    determinant's own rows, moment_row at each mu, so a float h_j(mu_l)
+    that rounds to zero is a pole here too.
     """
     n = len(mu_list)
     try:
@@ -324,26 +324,18 @@ def pole_screen(family: MqfFamily, mu_list) -> None:
         # mu_0's row meets its poles below the bad index first
         moment_row(family, n, mu_list[0])
         raise
-    if all_exact(mu_list) and all(map(all_exact, factors)):
-        always = next((j for j, (gamma, delta) in enumerate(factors)
-                       if gamma == 0 and delta == 0), n)
-        first_root = {}
-        for j, (gamma, delta) in enumerate(factors[:always]):
-            if delta != 0:
-                first_root.setdefault(Fraction(-gamma, delta), j)
-        hits = ((mu, min(first_root.get(mu, n), always)) for mu in mu_list)
-    else:
-        # At a float mu Python evaluates gamma + mu * delta as
-        # float(gamma) + mu * float(delta), so convert each factor once.
-        as_float = ([(float(gamma), float(delta)) for gamma, delta in factors]
-                    if any(isinstance(mu, float) for mu in mu_list) else None)
-
-        def first_pole(mu):
-            pairs = as_float if isinstance(mu, float) else factors
-            return next((j for j, (gamma, delta) in enumerate(pairs)
-                         if gamma + mu * delta == 0), n)
-        hits = ((mu, first_pole(mu)) for mu in mu_list)
-    for mu, j in hits:
+    if not (all_exact(mu_list) and all(map(all_exact, factors))):
+        for mu in mu_list:
+            moment_row(family, n, mu)
+        return
+    always = next((j for j, (gamma, delta) in enumerate(factors)
+                   if gamma == 0 and delta == 0), n)
+    first_root = {}
+    for j, (gamma, delta) in enumerate(factors[:always]):
+        if delta != 0:
+            first_root.setdefault(Fraction(-gamma, delta), j)
+    for mu in mu_list:
+        j = min(first_root.get(mu, n), always)
         if j < n:
             raise PoleAt(mu, detail=f"denominator factor {j} vanishes")
 

@@ -356,6 +356,31 @@ def test_float_jacobi_n32_is_not_refused_by_an_underflowed_determinant():
     assert len(res.f) == 33 and res.f[-1] != 0
 
 
+def test_float_mu_refuses_a_dependent_mixed_basis_like_exact_mu():
+    # a float elimination of an exactly singular basis matrix leaves
+    # rounding-sized pivots and returned coefficients near 1e16; the
+    # dependence is read off the cross factors alpha_i delta_j -
+    # beta_i gamma_j, i <= j, so float mu get exact mode's answers
+    mu = [1.0, 2.0, 3.0]
+    with pytest.raises(SingularBasis, match="no pivot in column 3"):
+        expand_in_mixed_basis(skew_family(), mu)
+    with pytest.raises(SingularBasis):
+        biorthogonal_poly(skew_family(), mu)
+    res = biorthogonal_poly(skew_family(), mu,
+                            normalization=NORM_LEADING_ONE)
+    assert res.path == PATH_ORACLE
+    assert res.f == (0.0, -1 / 3, 1 / 3, 1.0)
+    # no polynomial exists here (exact determinant 0) and the float
+    # mixed basis is dependent too
+    fam = family_from_config({"kind": "polynomial", "basis": "pochhammer-3",
+                              "a": ["-2", "2"], "b": ["-2"], "c": ["-2"],
+                              "d": ["-1", "0"]})
+    assert existence_determinant(fam, [F(-1), F(1), F(3, 2)]) == 0
+    for path in ("auto", PATH_MIXED):
+        with pytest.raises(NoExistence):
+            biorthogonal_poly(fam, [-1.0, 1.0, 1.5], path)
+
+
 def test_float_mu_auto_skips_node_system():
     # the node system's pivots m_l(lambda_l) decay geometrically, so
     # auto reserves it for exact inputs; an explicit request still runs
